@@ -2,6 +2,7 @@ package soctam_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -36,11 +37,12 @@ type goldenEntry struct {
 // PR 4, before any registry code existed. In -short mode only the two
 // smaller SOCs replay.
 //
-// Every entry replays twice — once sequentially (Workers = 1, the
-// paper's evaluation order) and once on the worker pool — because the
-// two paths run different scoring code (evaluator vs parEvaluator with
-// per-worker scratch buffers) and both must reproduce the golden
-// results bit for bit.
+// Every entry replays twice — once with one worker (Workers = 1, which
+// scores every partition inline on the enumerator's buffer in the
+// paper's evaluation order) and once on the worker pool (batched slabs,
+// per-worker scratch buffers, a concurrently shared bound) — and both
+// must reproduce the golden results bit for bit. The one-worker replay
+// of the partition strategy also pins the exact Stats (seqStats).
 func TestSolveMatchesPreRegistryGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/golden_solve.json")
 	if err != nil {
@@ -92,12 +94,40 @@ func TestSolveMatchesPreRegistryGolden(t *testing.T) {
 					e.SOC, e.Width, e.Strategy, workers, res.PeakPower, res.MaxPower, res.AssignmentOptimal,
 					e.PeakPower, e.MaxPower, e.Optimal)
 			}
+			st := res.Stats
+			got := [5]int{st.Enumerated, st.Completed, st.Aborted, st.Improved, st.PowerInfeasible}
+			if want, ok := seqStats[fmt.Sprintf("%s/%d", e.SOC, e.Width)]; ok && workers == 1 && e.Strategy == "partition" && got != want {
+				t.Errorf("%s W=%d partition workers=1: stats %v, want %v", e.SOC, e.Width, got, want)
+			}
 			if e.Winner != "" && res.Strategy.String() != e.Winner {
 				t.Errorf("%s W=%d %s workers=%d: winner %s, golden %s",
 					e.SOC, e.Width, e.Strategy, workers, res.Strategy, e.Winner)
 			}
 		}
 	}
+}
+
+// seqStats pins the partition strategy's Stats at Workers = 1 on the
+// two SOCs every replay (-short included) runs: with one worker the
+// evaluation order is the paper's, so Completed (Table 1's p_eval),
+// Aborted, Improved and PowerInfeasible are as reproducible as the
+// testing time. Each entry lists Enumerated, Completed, Aborted,
+// Improved and PowerInfeasible in that order.
+var seqStats = map[string][5]int{
+	"d695/16":   {212, 7, 205, 7, 0},
+	"d695/24":   {1204, 11, 1193, 11, 0},
+	"d695/32":   {5013, 16, 4997, 16, 0},
+	"d695/40":   {16928, 19, 16909, 19, 0},
+	"d695/48":   {49037, 17, 49020, 17, 0},
+	"d695/56":   {126299, 31, 126268, 31, 0},
+	"d695/64":   {296320, 47, 296273, 47, 0},
+	"p21241/16": {212, 9, 203, 9, 0},
+	"p21241/24": {1204, 16, 1188, 16, 0},
+	"p21241/32": {5013, 22, 4991, 22, 0},
+	"p21241/40": {16928, 29, 16899, 29, 0},
+	"p21241/48": {49037, 53, 48984, 53, 0},
+	"p21241/56": {126299, 49, 126250, 49, 0},
+	"p21241/64": {296320, 77, 296243, 77, 0},
 }
 
 // canonNil maps an empty golden slice onto nil so DeepEqual compares

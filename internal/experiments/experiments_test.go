@@ -68,6 +68,14 @@ func TestTable1Structure(t *testing.T) {
 	if len(tab.Rows) != 2 {
 		t.Fatalf("table1 has %d rows, want 2", len(tab.Rows))
 	}
+	// The p_eval cells (B = 4, then B = 5) come from a one-worker run in
+	// the paper's evaluation order, so they are exact and pinned.
+	wantPEval := map[string][2]string{"20": {"12", "13"}, "24": {"15", "13"}}
+	for _, row := range tab.Rows {
+		if got, want := [2]string{row[2], row[5]}, wantPEval[row[0]]; got != want {
+			t.Errorf("W=%s: p_eval (B=4, B=5) = %v, want %v", row[0], got, want)
+		}
+	}
 	for _, row := range tab.Rows {
 		// p_eval <= P(W,B) and efficiency in (0, 1].
 		for _, group := range []int{1, 4} {
