@@ -319,6 +319,7 @@ func BenchmarkDesignWrapperS38584(b *testing.B) {
 	s := socdata.D695()
 	core := &s.Cores[4]
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := soctam.DesignWrapper(core, 16); err != nil {
 			b.Fatal(err)
@@ -329,6 +330,7 @@ func BenchmarkDesignWrapperS38584(b *testing.B) {
 func BenchmarkTimeTableP93791(b *testing.B) {
 	s := socdata.P93791()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for c := range s.Cores {
 			if _, err := soctam.TimeTable(&s.Cores[c], 64); err != nil {
@@ -345,6 +347,7 @@ func BenchmarkCoreAssignP93791(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		assign.CoreAssign(in, 0)
 	}

@@ -11,9 +11,10 @@ import (
 // TestPartitionScoringZeroAlloc pins the per-partition scoring kernel —
 // scratch refill, Core_assign with its tie-break rules, the stats
 // bookkeeping — at zero allocations on d695 once the evaluator's
-// scratches are warm. The B = 1..MaxTAMs sweep scores hundreds of
-// thousands of partitions through this kernel, so a single allocation
-// per call is a regression.
+// scratches are warm, and with it the whole inline step (bound, kernel,
+// recording rule) once a best is held. The B = 1..MaxTAMs sweep scores
+// hundreds of thousands of partitions through this step, so a single
+// allocation per call is a regression.
 func TestPartitionScoringZeroAlloc(t *testing.T) {
 	s := socdata.D695()
 	const width = 32
@@ -22,27 +23,36 @@ func TestPartitionScoringZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts := []int{4, 8, 8, 12}
-	for _, opt := range []Options{{}, {PlainCoreAssign: true}} {
-		e := &evaluator{tables: tables, opt: opt}
-		e.prepareScratch(len(parts))
-		var stats Stats
-		score := func() {
-			if _, ok := scoreOne(e.tables, &e.scratch, &e.asg, parts, 0, e.opt, &stats); !ok {
+	for _, opt := range []Options{{Workers: 1}, {Workers: 1, PlainCoreAssign: true}} {
+		e := newEvaluator(nil, tables, opt, nil, nil)
+		w := &e.inline
+		w.resize(len(tables), len(parts))
+		kernel := func() {
+			if _, ok := scoreOne(e.tables, &w.in, &w.asg, parts, 0, e.opt, &w.stats); !ok {
 				t.Fatal("unbounded scoring aborted")
 			}
 		}
-		score() // warm
-		if allocs := testing.AllocsPerRun(100, score); allocs != 0 {
+		kernel() // warm
+		if allocs := testing.AllocsPerRun(100, kernel); allocs != 0 {
 			t.Errorf("scoreOne (plain=%v) allocates %.1f/op when warm, want 0",
+				opt.PlainCoreAssign, allocs)
+		}
+		e.score(w, parts, 0) // records the first best
+		seq := int64(0)
+		step := func() {
+			seq++
+			e.score(w, parts, seq)
+		}
+		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+			t.Errorf("inline step (plain=%v) allocates %.1f/op holding a best, want 0",
 				opt.PlainCoreAssign, allocs)
 		}
 	}
 }
 
 // TestPowerFeasibilityZeroAlloc pins the power-feasibility check of a
-// would-be improvement at zero allocations with a warm worker scratch:
-// the parallel evaluator runs it outside the shared lock, so it must
-// neither share buffers nor churn them.
+// would-be improvement at zero allocations with a warm scratch, the one
+// the evaluator keeps under its lock.
 func TestPowerFeasibilityZeroAlloc(t *testing.T) {
 	s := socdata.D695()
 	for i := range s.Cores {
@@ -87,15 +97,15 @@ func BenchmarkPartitionScoring(b *testing.B) {
 		b.Fatal(err)
 	}
 	parts := []int{4, 8, 8, 12}
-	e := &evaluator{tables: tables}
-	e.prepareScratch(len(parts))
-	var stats Stats
+	e := newEvaluator(nil, tables, Options{Workers: 1}, nil, nil)
+	w := &e.inline
+	w.resize(len(tables), len(parts))
 	var last soc.Cycles
-	scoreOne(e.tables, &e.scratch, &e.asg, parts, 0, e.opt, &stats) // warm the scratches
+	scoreOne(e.tables, &w.in, &w.asg, parts, 0, e.opt, &w.stats) // warm the scratches
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, ok := scoreOne(e.tables, &e.scratch, &e.asg, parts, 0, e.opt, &stats)
+		a, ok := scoreOne(e.tables, &w.in, &w.asg, parts, 0, e.opt, &w.stats)
 		if !ok {
 			b.Fatal("unbounded scoring aborted")
 		}

@@ -11,7 +11,6 @@ import (
 	"soctam/internal/assign"
 	"soctam/internal/pack"
 	"soctam/internal/partition"
-	"soctam/internal/sched"
 	"soctam/internal/soc"
 	"soctam/internal/wrapper"
 )
@@ -150,11 +149,12 @@ type Options struct {
 	// PlainCoreAssign drops the Figure 1 tie-break rules (ablation).
 	PlainCoreAssign bool
 	// Workers is the number of goroutines scoring partitions. 0 uses
-	// runtime.GOMAXPROCS(0); 1 (or negative) forces the sequential path,
-	// which evaluates partitions in exactly the paper's order. The chosen
-	// partition and testing time are identical at any worker count; only
-	// the Completed/Aborted/Improved split of Stats depends on evaluation
-	// order and is therefore reproducible only with Workers = 1.
+	// runtime.GOMAXPROCS(0); 1 (or negative) scores every partition
+	// inline on the calling goroutine, in exactly the paper's order. The
+	// chosen partition and testing time are identical at any worker
+	// count; only the Completed/Aborted/Improved/PowerInfeasible split of
+	// Stats depends on evaluation order and is therefore reproducible
+	// only with Workers = 1.
 	Workers int
 	// Strategy picks the Solve backend (a registered engine or the
 	// portfolio combinator). The partition-specific entry points ignore
@@ -314,8 +314,8 @@ func (o Options) workers() int {
 }
 
 // ParallelEvaluation reports whether partition evaluation will run on
-// the worker pool (more than one resolved worker) rather than in the
-// paper's sequential order — the order-dependent Stats split is only
+// the worker pool (more than one resolved worker) rather than inline in
+// the paper's order — the order-dependent Stats split is only
 // reproducible when this is false.
 func (o Options) ParallelEvaluation() bool { return o.workers() > 1 }
 
@@ -440,257 +440,6 @@ func curvesFor(s *soc.SOC, maxWidth int) (*wrapper.CurveSet, error) {
 	return cs, nil
 }
 
-// evaluator runs Core_assign over enumerated partitions, carrying the
-// best-known bound. Its scratch instance is refilled per partition so
-// the inner loop allocates nothing proportional to the enumeration size.
-type evaluator struct {
-	tables [][]soc.Cycles
-	opt    Options
-	pc     *powerContext
-	ctx    context.Context // nil = never cancelled
-	sink   *progressSink   // nil = no observer
-
-	haveBest  bool       // a completed evaluation has been recorded
-	best      soc.Cycles // running best testing time (valid when haveBest)
-	bestPart  []int
-	truncated bool // the deadline fired and stopped the enumeration
-	stats     Stats
-
-	scratch assign.Instance
-	asg     assign.Scratch
-	ps      powerScratch
-}
-
-// cancelCheckMask throttles context polls to one per 1024 partitions:
-// ctx.Err() takes a lock, and a poll per partition would be measurable
-// on the hot path.
-const cancelCheckMask = 1023
-
-// runCoreAssign dispatches to the configured heuristic variant. The
-// returned assignment owns its buffers — the form the cold paths
-// (finishResult) need, where the assignment outlives the call.
-func runCoreAssign(opt Options, in *assign.Instance, bound soc.Cycles) (assign.Assignment, bool) {
-	if opt.PlainCoreAssign {
-		return assign.CoreAssignPlain(in, bound)
-	}
-	return assign.CoreAssign(in, bound)
-}
-
-// runCoreAssignWith is runCoreAssign on a caller-owned scratch: the
-// returned assignment aliases sc and is valid only until the next call —
-// exactly what the per-partition scoring loop needs, where the
-// assignment is consumed (time read, TAMOf checked for power
-// feasibility) before the next partition is scored.
-func runCoreAssignWith(opt Options, sc *assign.Scratch, in *assign.Instance, bound soc.Cycles) (assign.Assignment, bool) {
-	if opt.PlainCoreAssign {
-		return assign.CoreAssignPlainWith(sc, in, bound)
-	}
-	return assign.CoreAssignWith(sc, in, bound)
-}
-
-// prepareScratch sizes the reusable instance for numTAMs TAMs.
-func (e *evaluator) prepareScratch(numTAMs int) {
-	n := len(e.tables)
-	e.scratch.Widths = resizeInts(e.scratch.Widths, numTAMs)
-	if e.scratch.Times == nil {
-		e.scratch.Times = make(sched.Matrix, n)
-	}
-	for i := range e.scratch.Times {
-		if cap(e.scratch.Times[i]) < numTAMs {
-			e.scratch.Times[i] = make([]soc.Cycles, numTAMs)
-		} else {
-			e.scratch.Times[i] = e.scratch.Times[i][:numTAMs]
-		}
-	}
-}
-
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// scoreOne is the per-partition kernel shared by the sequential and
-// parallel paths: it refills scratch with the partition's testing-time
-// columns, runs the configured Core_assign variant under bound (0 =
-// none) and books the evaluation into stats. completed is false when
-// the lines 18–20 abort fired. The returned assignment aliases asg and
-// is valid only until the next call with the same asg.
-func scoreOne(tables [][]soc.Cycles, scratch *assign.Instance, asg *assign.Scratch, parts []int, bound soc.Cycles, opt Options, stats *Stats) (a assign.Assignment, completed bool) {
-	stats.Enumerated++
-	copy(scratch.Widths, parts)
-	for i, table := range tables {
-		row := scratch.Times[i]
-		for j, w := range parts {
-			row[j] = table[w-1]
-		}
-	}
-	a, completed = runCoreAssignWith(opt, asg, scratch, bound)
-	if !completed {
-		stats.Aborted++
-		return a, false
-	}
-	stats.Completed++
-	return a, true
-}
-
-// evaluateOne scores a single width partition with Core_assign under the
-// running bound; it returns false to stop the enumeration when the
-// evaluator's context has been cancelled or its deadline has passed
-// with an incumbent in hand. Both polls share the cancelCheckMask
-// cadence, so a deadline run enumerates exactly like a cancellable one
-// until the instant it truncates — and a run with neither never reads
-// the clock.
-func (e *evaluator) evaluateOne(parts []int) bool {
-	if e.stats.Enumerated&cancelCheckMask == 0 {
-		if e.ctx != nil && e.ctx.Err() != nil {
-			return false
-		}
-		// Only an existing incumbent may truncate: before one exists the
-		// run must keep searching, so a feasible solve always answers.
-		if e.haveBest && !e.opt.Deadline.IsZero() && time.Now().After(e.opt.Deadline) {
-			e.truncated = true
-			return false
-		}
-	}
-	bound := e.best
-	if e.opt.NoEarlyAbort {
-		bound = 0
-	}
-	a, completed := scoreOne(e.tables, &e.scratch, &e.asg, parts, bound, e.opt, &e.stats)
-	if !completed {
-		return true
-	}
-	// haveBest (not best == 0) distinguishes "no result yet" from a
-	// legitimate 0-cycle best, so the first attainer wins even on
-	// degenerate SOCs whose tests all take zero time.
-	if !e.haveBest || a.Time < e.best {
-		// Power feasibility is checked only on would-be improvements:
-		// it needs the full serial-per-TAM schedule, and partitions that
-		// cannot win cannot need it.
-		if !e.pc.feasible(e.tables, parts, a.TAMOf, &e.ps) {
-			e.stats.PowerInfeasible++
-			return true
-		}
-		e.haveBest = true
-		e.best = a.Time
-		e.bestPart = partition.Canonical(parts)
-		e.stats.Improved++
-		e.sink.improved(partitionBackendName, a.Time, e.stats.Enumerated)
-	}
-	return true
-}
-
-// enumeratePartitions drives the configured partition generator for one
-// TAM count, calling yield with a reused buffer for every enumerated
-// partition; yield returning false stops the enumeration early (only
-// cancellation does — pruning never skips enumeration). It is the single
-// dispatch shared by the sequential and parallel paths, so both always
-// enumerate the same partition sets.
-func enumeratePartitions(width, numTAMs int, strategy Enumeration, yield func(parts []int) bool) error {
-	switch strategy {
-	case EnumOdometer:
-		o, err := partition.NewOdometer(width, numTAMs)
-		if err != nil {
-			return err
-		}
-		for {
-			parts, ok := o.Next()
-			if !ok || !yield(parts) {
-				return nil
-			}
-		}
-	case EnumNaive:
-		o, err := partition.NewNaiveOdometer(width, numTAMs)
-		if err != nil {
-			return err
-		}
-		for {
-			parts, ok := o.Next()
-			if !ok || !yield(parts) {
-				return nil
-			}
-		}
-	default:
-		partition.Enumerate(width, numTAMs, yield)
-		return nil
-	}
-}
-
-// evaluateB enumerates all width partitions for a fixed TAM count with
-// the configured strategy and scores them, updating the running best.
-func (e *evaluator) evaluateB(width, numTAMs int) error {
-	if numTAMs < 1 || width < numTAMs {
-		return fmt.Errorf("coopt: cannot split width %d into %d TAMs", width, numTAMs)
-	}
-	e.prepareScratch(numTAMs)
-	if err := enumeratePartitions(width, numTAMs, e.opt.Enumeration, e.evaluateOne); err != nil {
-		return err
-	}
-	if e.ctx != nil {
-		return e.ctx.Err()
-	}
-	return nil
-}
-
-// finish runs the heuristic once more on the winning partition (for the
-// assignment witness) and then the exact final step, assembling Result.
-func (e *evaluator) finish(width int, started time.Time) (Result, error) {
-	return finishResult(e.tables, e.opt, e.pc, e.best, e.bestPart, e.stats, width, started, e.truncated)
-}
-
-// finishResult replays the heuristic on the winning partition (for the
-// assignment witness) and runs the exact final step, assembling Result.
-// It is shared by the sequential and parallel evaluation paths. A
-// truncated run skips the exact final step — the deadline has already
-// passed, and the step can add unbounded branch-and-bound time — and
-// reports the heuristic incumbent as is.
-func finishResult(tables [][]soc.Cycles, opt Options, pc *powerContext, best soc.Cycles, bestPart []int, stats Stats, width int, started time.Time, truncated bool) (Result, error) {
-	if bestPart == nil {
-		return Result{}, fmt.Errorf("coopt: no feasible partition found for width %d", width)
-	}
-	inst, err := assign.FromTimeTable(tables, bestPart)
-	if err != nil {
-		return Result{}, err
-	}
-	heur, ok := runCoreAssign(opt, inst, 0)
-	if !ok || heur.Time != best {
-		return Result{}, fmt.Errorf("coopt: heuristic replay mismatch on %v: got %d, recorded %d", bestPart, heur.Time, best)
-	}
-	res := Result{
-		TotalWidth:    width,
-		Partition:     bestPart,
-		NumTAMs:       len(bestPart),
-		HeuristicTime: best,
-		Assignment:    heur,
-		Time:          heur.Time,
-		Stats:         stats,
-		MaxPower:      pc.maxPower(),
-		Truncated:     truncated,
-	}
-	if !opt.SkipFinal && !truncated {
-		final, optimal, err := solveExact(inst, opt)
-		if err != nil {
-			return Result{}, err
-		}
-		// The exact step can only improve on the heuristic; keep the
-		// better of the two (they are equal when the heuristic was
-		// already optimal) — unless its reshuffled schedule would breach
-		// the power ceiling the heuristic assignment respects.
-		if final.Time <= heur.Time && pc.feasible(tables, bestPart, final.TAMOf, nil) {
-			res.Assignment = final
-			res.Time = final.Time
-			res.AssignmentOptimal = optimal
-		}
-	}
-	res.PeakPower = pc.peak(tables, bestPart, res.Assignment.TAMOf, nil)
-	res.Gap = gapOf(res.Time, lowerBoundPC(tables, pc, width))
-	res.Proven = res.Gap == 0
-	res.Elapsed = time.Since(started)
-	return res, nil
-}
-
 // solveExact dispatches to the configured exact engine.
 func solveExact(in *assign.Instance, opt Options) (assign.Assignment, bool, error) {
 	if opt.FinalSolver == SolverILP {
@@ -710,7 +459,8 @@ func Solve(s *soc.SOC, width int, opt Options) (Result, error) {
 }
 
 // SolveContext is Solve with cancellation: every backend polls ctx (the
-// partition flow every cancelCheckMask+1 partitions, the packers at
+// partition flow before every batchSize partitions of a TAM count, at
+// any worker count, the packers at
 // each placement budget, the exhaustive baseline at every partition,
 // the portfolio through each racer's derived context) and returns ctx's
 // error once it fires. Cancellation never alters the result of a run
@@ -765,24 +515,7 @@ func PartitionEvaluate(s *soc.SOC, width, numTAMs int, opt Options) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
-	pc, err := newPowerContext(s, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	sink := newProgressSink(opt.Progress)
-	if opt.workers() > 1 {
-		p := newParEvaluator(tables, opt, pc)
-		p.sink = sink
-		if err := p.evaluateB(width, numTAMs); err != nil {
-			return Result{}, err
-		}
-		return p.finish(width, started)
-	}
-	e := &evaluator{tables: tables, opt: opt, pc: pc, sink: sink}
-	if err := e.evaluateB(width, numTAMs); err != nil {
-		return Result{}, err
-	}
-	return e.finish(width, started)
+	return evaluatePartitions(nil, s, tables, width, numTAMs, numTAMs, opt, newProgressSink(opt.Progress), started)
 }
 
 // CoOptimize solves P_NPAW: the full Figure 3 sweep over B = 1..MaxTAMs
@@ -793,8 +526,8 @@ func CoOptimize(s *soc.SOC, width int, opt Options) (Result, error) {
 }
 
 // coOptimize is CoOptimize with cancellation: a non-nil ctx is polled
-// during partition evaluation (every cancelCheckMask+1 partitions on the
-// sequential path, every batch on the worker pool) and its error is
+// during partition evaluation (before every batchSize partitions of a
+// TAM count, inline and on the worker pool alike) and its error is
 // returned once it fires. The portfolio racer uses it to stop a
 // partition backend that can no longer win; cancellation never alters
 // the result of a run that completes.
@@ -818,33 +551,7 @@ func coOptimizeSink(ctx context.Context, s *soc.SOC, width int, opt Options, sin
 // the seam the portfolio racer uses so the tables it derives its
 // cancellation bound from are not computed a second time.
 func coOptimizeTables(ctx context.Context, s *soc.SOC, tables [][]soc.Cycles, width int, opt Options, sink *progressSink) (Result, error) {
-	started := time.Now()
-	pc, err := newPowerContext(s, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	maxB := opt.maxTAMs()
-	if maxB > width {
-		maxB = width
-	}
-	if opt.workers() > 1 {
-		p := newParEvaluator(tables, opt, pc)
-		p.ctx = ctx
-		p.sink = sink
-		for b := 1; b <= maxB && !p.truncated; b++ {
-			if err := p.evaluateB(width, b); err != nil {
-				return Result{}, err
-			}
-		}
-		return p.finish(width, started)
-	}
-	e := &evaluator{tables: tables, opt: opt, pc: pc, ctx: ctx, sink: sink}
-	for b := 1; b <= maxB && !e.truncated; b++ {
-		if err := e.evaluateB(width, b); err != nil {
-			return Result{}, err
-		}
-	}
-	return e.finish(width, started)
+	return evaluatePartitions(ctx, s, tables, width, 1, min(opt.maxTAMs(), width), opt, sink, time.Now())
 }
 
 // Exhaustive reproduces the baseline of [8] for a fixed TAM count: every

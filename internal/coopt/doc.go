@@ -23,7 +23,9 @@
 //  4. the winning partition is re-solved exactly (ILP or combinatorial
 //     branch and bound) as the final optimization step.
 //
-// Steps 2–3 run on the Options.Workers goroutine pool; results are
+// Steps 2–3 are one evaluator (evaluate.go): with Options.Workers = 1 it
+// scores every partition inline in the paper's order, with more it runs
+// the same per-partition step on a goroutine pool. Results are
 // bit-for-bit identical at any worker count, including under the
-// portfolio racer (ARCHITECTURE.md §9 has the determinism argument).
+// portfolio racer (ARCHITECTURE.md §3 has the determinism argument).
 package coopt

@@ -2,6 +2,7 @@ package coopt
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"soctam/internal/soc"
@@ -112,6 +113,36 @@ func TestParallelPartitionEvaluate(t *testing.T) {
 	}
 	if _, err := PartitionEvaluate(s, 4, 8, Options{Workers: 4}); err == nil {
 		t.Error("parallel path accepted B > W")
+	}
+}
+
+// TestOneWorkerStartsNoGoroutine checks that Workers = 1 scores inline:
+// every improvement event of a one-worker solve is delivered with no
+// goroutine beyond those running before the solve, while the pool's
+// events arrive from its workers.
+func TestOneWorkerStartsNoGoroutine(t *testing.T) {
+	s := socdata.D695()
+	for _, workers := range []int{1, 4} {
+		base := runtime.NumGoroutine()
+		most, events := 0, 0
+		_, err := Solve(s, 32, Options{Workers: workers, Progress: func(ev ProgressEvent) {
+			if ev.Kind == ProgressImproved {
+				events++
+				most = max(most, runtime.NumGoroutine())
+			}
+		}})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if events == 0 {
+			t.Fatalf("workers=%d: no improvement events", workers)
+		}
+		if workers == 1 && most > base {
+			t.Errorf("workers=1: %d goroutines during the solve, %d before", most, base)
+		}
+		if workers > 1 && most <= base {
+			t.Errorf("workers=%d: %d goroutines during the solve, %d before: the pool did not run", workers, most, base)
+		}
 	}
 }
 

@@ -50,10 +50,10 @@ func (pc *powerContext) maxPower() int {
 // constrained reports whether a ceiling is actually enforced.
 func (pc *powerContext) constrained() bool { return pc != nil && pc.ceiling > 0 }
 
-// powerScratch holds the reusable buffers of one peak computation. Each
-// evaluation goroutine owns its own: feasibility is checked outside the
-// parallel evaluator's lock, so the scratch must never be shared. The
-// zero value is ready.
+// powerScratch holds the reusable buffers of one peak computation and
+// belongs to one goroutine at a time: the partition evaluator keeps one
+// under its lock, where it checks would-be winners. The zero value is
+// ready.
 type powerScratch struct {
 	tests  []powerTest
 	starts []int // bucket offsets into tests, one per TAM (+1)

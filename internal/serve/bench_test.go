@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -63,6 +64,11 @@ func BenchmarkHTTPSolveHit(b *testing.B) {
 		}
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("status %d", resp.StatusCode)
+		}
+		// Drained before Close so keep-alive reuses the connection and
+		// the bench times the request path, not a TCP dial per request.
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			b.Fatal(err)
 		}
 		resp.Body.Close()
 	}

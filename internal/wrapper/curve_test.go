@@ -171,6 +171,7 @@ func FuzzCurve(f *testing.F) {
 func BenchmarkWrapperCurve(b *testing.B) {
 	socs := loadBenchSOC(b, "d695.soc")
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Curves(socs, 64); err != nil {
 			b.Fatal(err)
